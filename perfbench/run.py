@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run one workload of the MFTI benchmark and print its result line.
 
-    python3 perfbench/run.py --workload fit_pdn|serve_cold|serve_repeat \
+    python3 perfbench/run.py --workload serve_cold|serve_repeat \
         --seed N --seconds S --trace 0|1
 
 Run from the repository root. The first run configures and builds the
@@ -22,7 +22,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("fit_pdn", "serve_cold", "serve_repeat")
+WORKLOADS = ("serve_cold", "serve_repeat")
 # Prepare plus run, after the build: the whole run must end within 180 s.
 RUN_TIMEOUT_S = 170
 

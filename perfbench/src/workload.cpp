@@ -16,13 +16,12 @@ namespace perfbench {
 namespace {
 
 // Every workload runs both operations, so each measures every end-to-end
-// metric on its own mix: fit_pdn spends 70% of its time fitting and serves
-// cold 14-port requests in the rest; the serve workloads split evenly, which
-// still leaves them enough fits for a steady median.
+// metric on its own mix. Both spend 60% of their time fitting: the fit
+// metrics take the fastest of a run's fits, which needs about ten of each
+// kind, while a few hundred requests already fix the serving metrics.
 constexpr Workload kWorkloads[] = {
-    {"fit_pdn", FleetKind::Pdn, 2, Traffic::Fresh, 16, 0.7},
-    {"serve_cold", FleetKind::Mimo, 4, Traffic::Fresh, 16, 0.5},
-    {"serve_repeat", FleetKind::Pdn, 3, Traffic::Repeat, 32, 0.5},
+    {"serve_cold", FleetKind::Mimo, 4, Traffic::Fresh, 16, 0.6},
+    {"serve_repeat", FleetKind::Pdn, 3, Traffic::Repeat, 32, 0.6},
 };
 
 std::uint64_t splitmix64(std::uint64_t x) {
